@@ -12,8 +12,18 @@ system for every new ingress seed), the matrix backend:
 
 * decomposes a guarded model ``in ; body ; while ¬out do body ; …`` into
   loop-free *FDD stages* and *loop stages*;
-* compiles each stage to a canonical FDD once (stages are shared across
-  queries on the same policy object);
+* compiles each stage once, *per switch* (stages are shared across
+  queries on the same policy object): parts that dispatch on the switch
+  field compile one small canonical FDD per switch, joined by a chain of
+  ``sw = v`` tests ending in the default program — the paper's per-switch
+  decomposition, which keeps compile time near-linear in the topology;
+* treats those *dispatch diagrams* as evaluation-only: each branch is
+  canonical but the whole diagram is not globally ordered, so it is never
+  composed further (``ops.sequence``/``ite``) nor memoized by the
+  :class:`~repro.core.compiler.Compiler`.  :meth:`MatrixBackend.compile`,
+  :meth:`~MatrixBackend.transition_matrix` and
+  :meth:`~MatrixBackend.fdd_size` keep the global canonical compile that
+  equivalence checking depends on;
 * converts loop bodies to sparse transition matrices over the symbolic
   classes *reachable* from the query's ingress set (dynamic domain
   reduction restricted to the reachable subspace, §5.1);
@@ -34,7 +44,8 @@ from typing import Iterable, Sequence
 from repro.core import syntax as s
 from repro.core.compiler import Compiler, ops_evaluate_bool
 from repro.core.distributions import Dist
-from repro.core.fdd.evaluator import ClassRow
+from repro.core.fdd import ops
+from repro.core.fdd.evaluator import ClassRow, _dispatch_table, _specialize_spine
 from repro.core.fdd.matrix import (
     SymbolicPacket,
     TransitionMatrix,
@@ -51,9 +62,15 @@ from repro.utils.timing import Stopwatch
 
 @dataclass
 class _FddStage:
-    """A loop-free policy segment, compiled to one canonical FDD."""
+    """A loop-free policy segment, compiled to one FDD.
+
+    ``rows`` memoizes the stage's output distribution per input packet
+    across queries, so warm queries walk each stage diagram once per
+    distinct packet.
+    """
 
     fdd: FddNode
+    rows: dict[Packet, Dist] = field(default_factory=dict, repr=False)
 
 
 class _LoopStage:
@@ -505,26 +522,59 @@ class MatrixBackend:
         return self._run_plan(plan, list(inputs))
 
     def _build_plan(self, policy: s.Policy) -> QueryPlan:
+        """Compile ``policy`` stage by stage, per switch where it dispatches.
+
+        Every stage diagram is built by :meth:`_dispatch_fdd`: a run of
+        parts that dispatches on one field (``case sw=v``, the network
+        models' per-switch shape) compiles one small program per value and
+        joins them under a chain of ``field = v`` tests.  A loop-free run
+        is split at its first dispatch ``case``: the head before it (local
+        inits, ingress predicate) compiles as one ordinary FDD stage and
+        the tail becomes a dispatch stage.  In network models that tail is
+        the loop body's own parts, so the first hop and the loop share one
+        compile (memoized by part identity).
+
+        Invariant: a dispatch diagram is canonical per branch but not
+        globally ordered (a branch may test the dispatch field again, and
+        the chain is not merged with its children).  It is therefore only
+        ever *evaluated* — by FDD-stage evaluation, ``fdd_to_matrix`` and
+        spec (de)serialization — and never passed to ``ops.sequence``/
+        ``ite`` nor stored in the :class:`Compiler` memo.  ``compile()``,
+        ``transition_matrix()`` and ``fdd_size()`` keep the global
+        canonical compile, which equivalence checking relies on.
+        """
         self.ast_compilations += 1
         parts: Sequence[s.Policy] = (
             policy.parts if isinstance(policy, s.Seq) else [policy]
         )
         stages: list[_FddStage | _LoopStage] = []
         pending: list[s.Policy] = []
+        memo: dict[tuple[int, ...], FddNode] = {}
 
         def flush() -> None:
-            if not pending:
-                return
-            fdd = self._compiler.compile(s.seq(*pending))
-            if fdd is not self.manager.true_leaf:
-                stages.append(_FddStage(fdd))
+            split = next(
+                (
+                    i
+                    for i, part in enumerate(pending)
+                    if isinstance(part, s.Case) and _dispatch_table(part)
+                ),
+                len(pending),
+            )
+            for run in (pending[:split], pending[split:]):
+                if run:
+                    fdd = self._dispatch_fdd(run, memo)
+                    if fdd is not self.manager.true_leaf:
+                        stages.append(_FddStage(fdd))
             pending.clear()
 
         for part in parts:
             if isinstance(part, s.WhileDo):
                 flush()
                 guard_fdd = self._compiler.compile(part.guard)
-                body_fdd = self._compiler.compile(part.body)
+                body = part.body
+                body_fdd = self._dispatch_fdd(
+                    body.parts if isinstance(body, s.Seq) else (body,), memo
+                )
                 domains = matrix_domains(body_fdd, extra_values=matrix_domains(guard_fdd))
                 stages.append(
                     _LoopStage(
@@ -541,6 +591,34 @@ class MatrixBackend:
                 pending.append(part)
         flush()
         return QueryPlan(policy, stages)
+
+    def _dispatch_fdd(
+        self, parts: Sequence[s.Policy], memo: dict[tuple[int, ...], FddNode]
+    ) -> FddNode:
+        """The dispatch diagram of ``seq(*parts)`` (see :meth:`_build_plan`).
+
+        The parts are split per value of their dispatch field by
+        :func:`~repro.core.fdd.evaluator._specialize_spine`; each value's
+        program compiles on its own and is reduced once, and the results
+        hang off a chain of ``field = v`` tests ending in the default
+        program.  Parts without a dispatch spine compile as one ordinary
+        canonical FDD (a dispatch of one).
+        """
+        key = tuple(map(id, parts))
+        fdd = memo.get(key)
+        if fdd is None:
+            spine = _specialize_spine(list(parts))
+            if spine is None:
+                fdd = self._compiler.compile(s.seq(*parts))
+            else:
+                field, table, default = spine
+                compile_branch = self._compiler.compile_unreduced
+                fdd = ops.reduce(compile_branch(default))
+                for value in sorted(table, reverse=True):
+                    branch = ops.reduce(compile_branch(table[value]))
+                    fdd = self.manager.branch(field, value, branch, fdd)
+            memo[key] = fdd
+        return fdd
 
     # -- queries ----------------------------------------------------------------
     def output_distributions(
@@ -716,8 +794,9 @@ class MatrixBackend:
         Every cached plan keeps its compiled stage FDDs, but each loop
         stage is rebuilt empty: transition-row caches, absorption
         solutions, and the incremental ``splu`` factorizations are
-        released.  This bounds solver memory for long-lived sessions
-        without paying recompilation, and gives benchmarks a repeatable
+        released, and FDD stages drop their per-packet output rows.  This
+        bounds solver memory for long-lived sessions without paying
+        recompilation, and gives benchmarks a repeatable
         solver-path measurement (every pass after a reset re-runs matrix
         construction and factorization, not just cache lookups).
         """
@@ -725,7 +804,9 @@ class MatrixBackend:
         plans.extend(self._adopted.values())
         for plan in plans:
             for position, stage in enumerate(plan.stages):
-                if isinstance(stage, _LoopStage):
+                if isinstance(stage, _FddStage):
+                    stage.rows.clear()
+                else:
                     plan.stages[position] = _LoopStage(
                         stage.loop,
                         stage.guard_fdd,
@@ -740,7 +821,7 @@ class MatrixBackend:
     def _apply_fdd_stage(
         self, stage: _FddStage, dists: list[dict[Outcome, object]]
     ) -> list[dict[Outcome, object]]:
-        cache: dict[Packet, Dist] = {}
+        cache = stage.rows
         advanced: list[dict[Outcome, object]] = []
         for dist in dists:
             acc: dict[Outcome, object] = {}

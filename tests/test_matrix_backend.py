@@ -492,3 +492,145 @@ class TestBackendThreading:
         assert exact == numeric == native
         assert exact["healthy"][None] is True
         assert exact["faulty"][None] is False
+
+
+def assert_matches_exact(policy, packets):
+    """Matrix answers agree with the exact AST interpreter to 1e-9."""
+    exact = Interpreter(exact=True, compile_bodies=False)
+    actual = MatrixBackend().output_distributions(policy, packets)
+    for packet in packets:
+        assert exact.run_packet(policy, packet).close_to(actual[packet], tolerance=1e-9)
+    return actual
+
+
+def small_model(body):
+    """``mark<-0 ; in ; body ; while ¬(sw=3) do body ; pt<-0`` over switches 1, 2, 7."""
+    ingress = [Packet({"sw": sw, "pt": 0}) for sw in (1, 2, 7)]
+    policy = s.seq(
+        s.assign("mark", 0),
+        s.disj(*[s.conj(s.test("sw", p["sw"]), s.test("pt", 0)) for p in ingress]),
+        body,
+        s.while_do(s.neg(s.test("sw", 3)), body),
+        s.assign("pt", 0),
+    )
+    return policy, ingress
+
+
+class TestPerSwitchDispatch:
+    """Plan stages built from per-switch compiled programs (dispatch diagrams)."""
+
+    #: Routing and topology dispatch on ``sw``; the last case comes after the
+    #: topology has assigned ``sw``, so it must see the *new* switch.
+    LATE_CASE_BODY = s.seq(
+        s.case(
+            [
+                (s.test("sw", 1), s.choice((s.assign("pt", 1), Fraction(1, 2)),
+                                           (s.assign("pt", 2), Fraction(1, 2)))),
+                (s.test("sw", 2), s.assign("pt", 1)),
+            ],
+            default=s.assign("pt", 1),
+        ),
+        s.case(
+            [
+                (s.test("sw", 1), s.ite(s.test("pt", 1), s.assign("sw", 2), s.assign("sw", 3))),
+                (s.test("sw", 2), s.ite(s.test("pt", 1), s.assign("sw", 3), s.drop())),
+            ],
+            default=s.assign("sw", 3),
+        ),
+        s.case(
+            [(s.test("sw", 2), s.assign("mark", 1)), (s.test("sw", 3), s.assign("mark", 2))],
+            default=s.skip(),
+        ),
+    )
+
+    def test_fattree4_failures_matches_exact(self):
+        topo = fat_tree(4)
+        failable = downward_failable_ports(topo)
+        model = build_model(
+            topo,
+            routing=ecmp_policy(topo, 1),
+            dest=1,
+            failure=independent_failure_program(failable, Fraction(1, 1000)),
+            failable=failable,
+        )
+        assert_matches_exact(model.policy, model.ingress_packets)
+
+    def test_f10_hop_count_matches_exact(self):
+        from repro.routing.f10 import f10_model
+        from repro.topology import ab_fat_tree
+
+        model = f10_model(
+            ab_fat_tree(4), 1, scheme="f10_3_5", failure_probability=Fraction(1, 4),
+            count_hops=True, max_hops=6,
+        )
+        assert_matches_exact(model.policy, model.ingress_packets)
+
+    def test_case_after_switch_assignment_is_not_specialized(self):
+        policy, ingress = small_model(self.LATE_CASE_BODY)
+        actual = assert_matches_exact(policy, ingress)
+        # Every delivered packet was marked by the post-hop case at sw=3;
+        # specializing that case on the pre-hop switch would mark 0 or 1.
+        for packet in ingress:
+            assert actual[packet] == Dist.point(Packet({"sw": 3, "pt": 0, "mark": 2}))
+
+    def test_switch_missing_from_table_takes_default(self):
+        policy, ingress = small_model(self.LATE_CASE_BODY)
+        backend = MatrixBackend()
+        (stage,) = backend.plan(policy).loop_stages
+        # Switch 7 has no branch in any case: routing, topology and the
+        # post-hop case all take their defaults.
+        packet = Packet({"sw": 7, "pt": 5, "mark": 0})
+        assert fdd_output_distribution(stage.body_fdd, packet) == Dist.point(
+            Packet({"sw": 3, "pt": 1, "mark": 2})
+        )
+        outputs = backend.output_distributions(policy, [Packet({"sw": 7, "pt": 0})])
+        assert outputs[Packet({"sw": 7, "pt": 0})] == Dist.point(
+            Packet({"sw": 3, "pt": 0, "mark": 2})
+        )
+
+    def test_body_without_spine_falls_back_to_global_compile(self):
+        body = s.ite(
+            s.test("sw", 1),
+            s.choice((s.assign("sw", 2), Fraction(1, 2)), (s.assign("sw", 3), Fraction(1, 2))),
+            s.ite(
+                s.test("sw", 2),
+                s.choice((s.assign("sw", 3), Fraction(3, 4)), (s.drop(), Fraction(1, 4))),
+                s.drop(),
+            ),
+        )
+        policy, ingress = small_model(body)
+        assert_matches_exact(policy, ingress)
+        backend = MatrixBackend()
+        (stage,) = backend.plan(policy).loop_stages
+        assert stage.body_fdd is backend.compile(body)
+
+    def test_adopted_plan_answers_identically_without_compiling(self):
+        model = fattree_model(1 / 1000)
+        source = MatrixBackend()
+        expected = source.output_distributions(model.policy, model.ingress_packets)
+        worker = MatrixBackend()
+        worker.adopt_plan("fattree", *source.plan_payload(model.policy))
+        actual = worker.query_plan("fattree", model.ingress_packets)
+        assert worker.ast_compilations == 0
+        for packet in model.ingress_packets:
+            assert dict(actual[packet].items()) == dict(expected[packet].items())
+        assert MatrixBackend().plan_key(model.policy) == source.plan_key(model.policy)
+
+    def test_fdd_stage_rows_persist_until_reset(self):
+        model = fattree_model(1 / 1000)
+        backend = MatrixBackend()
+        first = backend.output_distributions(model.policy, model.ingress_packets)
+        fdd_stages = [st for st in backend.plan(model.policy).stages if hasattr(st, "rows")]
+        assert fdd_stages and all(stage.rows for stage in fdd_stages)
+        backend.reset_solutions()
+        assert not any(stage.rows for stage in fdd_stages)
+        again = backend.output_distributions(model.policy, model.ingress_packets)
+        for packet in model.ingress_packets:
+            assert dict(again[packet].items()) == dict(first[packet].items())
+
+    def test_failure_plan_node_count(self):
+        """Work-counter guard: the global compile interned 3071 FDD nodes."""
+        model = fattree_model(1 / 1000)
+        backend = MatrixBackend()
+        backend.plan(model.policy)
+        assert backend.manager.node_count() * 3 <= 3071
