@@ -21,8 +21,9 @@ FDD/matrix compilation separately from the batched all-ingress query so
 the artifact records where each backend spends its time.  The matrix
 sweep extends past the interpreted backends to FatTree k=10 (125
 switches).  Assembly and the ``splu`` solve stay in the tens of ms even
-there; the k=10 failure configuration is compile-bound, about 3 s of
-per-switch FDD construction on a 2-core x86-64 container.
+there; a cold all-ingress answer of the k=10 failure configuration
+through a fresh backend takes about 0.7 s, 0.5 s of it per-switch FDD
+construction, on a 2-core x86-64 container.
 
 Each native configuration is also answered *cold* — a fresh
 ``MatrixBackend`` next to a fresh ``Interpreter``, best of
@@ -72,8 +73,9 @@ RESULTS: list[list[object]] = []
 SPEEDUP_TOTALS = {"interpreted": 0.0, "compiled": 0.0}
 #: Accumulated wall-clock totals of the assembly-kernel comparison.
 ASSEMBLY_TOTALS = {"vectorized": 0.0, "reference": 0.0, "rows": 0}
-#: Accumulated best-of-COLD_REPS cold times through fresh engines.
-COLD_TOTALS = {"matrix": 0.0, "native": 0.0}
+#: Accumulated best-of-COLD_REPS cold times through fresh engines, plus the
+#: FDD nodes each cold matrix answer interned (deterministic per config).
+COLD_TOTALS = {"matrix": 0.0, "native": 0.0, "fdd_nodes": 0}
 
 
 def build(p: int, failure_probability: float | None):
@@ -274,32 +276,35 @@ def cold_compare(p: int, failure_probability: float | None):
 
     Each repetition builds a fresh model and answers it once through a
     fresh ``MatrixBackend`` and once through a fresh ``Interpreter``, so
-    every timing includes its engine's full one-time compile.
+    every timing includes its engine's full one-time compile.  Also
+    returns the number of FDD nodes the fresh matrix backend interned.
     """
     from repro.backends import MatrixBackend
 
     matrix_s = native_s = float("inf")
     for _ in range(COLD_REPS):
         model = build(p, failure_probability)
+        backend = MatrixBackend()
         t0 = time.perf_counter()
-        matrix = MatrixBackend().output_distributions(model.policy, model.ingress_packets)
+        matrix = backend.output_distributions(model.policy, model.ingress_packets)
         matrix_s = min(matrix_s, time.perf_counter() - t0)
         model = build(p, failure_probability)
         t0 = time.perf_counter()
         native = model.output_distributions(interpreter=Interpreter())
         native_s = min(native_s, time.perf_counter() - t0)
-    return matrix, native, matrix_s, native_s
+    return matrix, native, matrix_s, native_s, backend.manager.node_count()
 
 
 @pytest.mark.parametrize("p", NATIVE_SIZES)
 @pytest.mark.parametrize("failure_probability", [None, 1 / 1000], ids=["f0", "f1000"])
 def test_cold_matrix_vs_native(benchmark, p, failure_probability):
     """One configuration of the cold matrix-vs-native comparison."""
-    matrix, native, matrix_s, native_s = benchmark.pedantic(
+    matrix, native, matrix_s, native_s, fdd_nodes = benchmark.pedantic(
         cold_compare, args=(p, failure_probability), rounds=1, iterations=1
     )
     COLD_TOTALS["matrix"] += matrix_s
     COLD_TOTALS["native"] += native_s
+    COLD_TOTALS["fdd_nodes"] += fdd_nodes
     switches = 5 * p * p // 4
     RESULTS.append([
         "matrix/cold", p, switches, fail_label(failure_probability),
@@ -381,7 +386,9 @@ def test_matrix_cold_over_native(benchmark):
     Summed over the native sweep, the best-of-``COLD_REPS`` cold time of
     a fresh ``MatrixBackend`` divided by that of a fresh ``Interpreter``
     is recorded as ``matrix_cold_over_native`` in ``BENCH_fig7.json``
-    and diffed against a committed baseline by CI.
+    and diffed against a committed baseline by CI, next to the
+    deterministic work counter ``cold_fdd_nodes`` (FDD nodes interned by
+    one cold matrix answer, summed over the sweep; lower is better).
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert COLD_TOTALS["native"] > 0.0, "cold comparison sweep did not run"
@@ -394,7 +401,10 @@ def test_matrix_cold_over_native(benchmark):
             "cold_matrix_s": COLD_TOTALS["matrix"],
             "cold_native_s": COLD_TOTALS["native"],
         },
-        metrics={"matrix_cold_over_native": COLD_TOTALS["matrix"] / COLD_TOTALS["native"]},
+        metrics={
+            "matrix_cold_over_native": COLD_TOTALS["matrix"] / COLD_TOTALS["native"],
+            "cold_fdd_nodes": float(COLD_TOTALS["fdd_nodes"]),
+        },
     )
 
 

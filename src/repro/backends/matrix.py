@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core import syntax as s
-from repro.core.compiler import Compiler, ops_evaluate_bool
+from repro.core.compiler import Compiler, field_order, ops_evaluate_bool
 from repro.core.distributions import Dist
 from repro.core.fdd import ops
 from repro.core.fdd.evaluator import ClassRow, _dispatch_table, _specialize_spine
@@ -542,8 +542,13 @@ class MatrixBackend:
         ``ite`` nor stored in the :class:`Compiler` memo.  ``compile()``,
         ``transition_matrix()`` and ``fdd_size()`` keep the global
         canonical compile, which equivalence checking relies on.
+
+        The program's test-first :func:`~repro.core.compiler.field_order`
+        is registered before anything compiles; published specs carry
+        ``manager.fields``, so replicas and workers inherit the order.
         """
         self.ast_compilations += 1
+        self.manager.register_fields(field_order(policy))
         parts: Sequence[s.Policy] = (
             policy.parts if isinstance(policy, s.Seq) else [policy]
         )

@@ -15,6 +15,19 @@ probabilistic FDDs over the single-packet state space ``Pk + ∅``:
 Programs outside the guarded fragment (bare union of non-predicates,
 Kleene star) are rejected with :class:`GuardedFragmentError`, mirroring
 McNetKAT's pragmatic restrictions (§5).
+
+Field order.  Diagram size depends on the order of tested fields, as for
+BDDs (Bryant 1986), while the manager ranks fields by first registration.
+Model entry points (the matrix backend's plan, the interpreter's body
+compiler) therefore register :func:`field_order` of the whole program
+before its first compile: fields the program *tests* come first, in the
+order they are first tested, and write-only fields last.  In network
+models that puts ``sw`` and ``pt`` above the link-health flags, so a
+routing diagram tests its port once instead of once per combination of
+flag values; fields that are only written rank last, as no diagram
+branches on them.  The order changes which diagram represents a program, never its semantics: within
+one manager every program still has exactly one reduced canonical FDD,
+so equivalence checks are unaffected.
 """
 
 from __future__ import annotations
@@ -231,6 +244,31 @@ class Compiler:
             field: tuple(sorted(values)) for field, values in domains.items()
         }
         return matrix_to_fdd(manager, domain_map, rows, default=manager.false_leaf)
+
+
+def field_order(policy: s.Policy) -> tuple[str, ...]:
+    """The test-first field order of ``policy`` (see the module docstring).
+
+    Fields the program tests, in pre-order of their first test, followed
+    by the fields it only writes, in pre-order of their first write.
+    Shared sub-programs (a network model's body appears before and inside
+    its loop) are walked once.
+    """
+    tested: dict[str, None] = {}
+    written: dict[str, None] = {}
+    seen: set[int] = set()
+    stack = [policy]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, s.Test):
+            tested.setdefault(node.field)
+        elif isinstance(node, s.Assign):
+            written.setdefault(node.field)
+        stack.extend(reversed(node.children()))
+    return tuple(tested) + tuple(f for f in written if f not in tested)
 
 
 def ops_evaluate_bool(manager: FddManager, pred_fdd: FddNode, cls: SymbolicPacket) -> bool:

@@ -10,6 +10,10 @@ library:
   ``float`` (used after sparse linear solves, mirroring UMFPACK);
 * the monadic operations ``map``/``bind`` implement the Giry-monad
   structure used by the denotational semantics (Appendix A).
+
+Sums accumulate from the integer ``0`` so they keep the type of the
+masses: all-``Fraction`` inputs stay exact and all-``float`` inputs stay
+``float`` without a detour through ``Fraction``'s mixed-type arithmetic.
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ class Dist(Generic[T]):
             if weight == 0:
                 continue
             for outcome, mass in dist.items():
-                acc[outcome] = acc.get(outcome, Fraction(0)) + weight * mass
+                acc[outcome] = acc.get(outcome, 0) + weight * mass
         return Dist(acc, check=check)
 
     # -- queries --------------------------------------------------------------
@@ -179,7 +183,7 @@ class Dist(Generic[T]):
         acc: dict[S, Fraction | float] = {}
         for outcome, mass in self._weights.items():
             image = func(outcome)
-            acc[image] = acc.get(image, Fraction(0)) + mass
+            acc[image] = acc.get(image, 0) + mass
         return Dist(acc, check=False)
 
     def bind(self, kernel: Callable[[T], "Dist[S]"]) -> "Dist[S]":
@@ -187,7 +191,7 @@ class Dist(Generic[T]):
         acc: dict[S, Fraction | float] = {}
         for outcome, mass in self._weights.items():
             for image, inner in kernel(outcome).items():
-                acc[image] = acc.get(image, Fraction(0)) + mass * inner
+                acc[image] = acc.get(image, 0) + mass * inner
         return Dist(acc, check=False)
 
     def product(self, other: "Dist[S]") -> "Dist[tuple[T, S]]":
@@ -195,7 +199,7 @@ class Dist(Generic[T]):
         acc: dict[tuple[T, S], Fraction | float] = {}
         for a, pa in self._weights.items():
             for b, pb in other.items():
-                acc[(a, b)] = acc.get((a, b), Fraction(0)) + pa * pb
+                acc[(a, b)] = acc.get((a, b), 0) + pa * pb
         return Dist(acc, check=False)
 
     def normalise(self) -> "Dist[T]":

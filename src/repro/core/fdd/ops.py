@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 from repro.core.distributions import Dist
 from repro.core.fdd.actions import Action, ActionOrDrop
-from repro.core.fdd.node import Branch, FddManager, FddNode, Leaf
+from repro.core.fdd.node import Branch, FddManager, FddNode, Leaf, iter_nodes
 from repro.core.packet import _DropType
 
 
@@ -516,10 +516,67 @@ def _simplifier(known: dict[str, int]):
 
 
 def sequence_all(nodes: Sequence[FddNode]) -> FddNode:
-    """Sequential composition of several FDDs (left to right)."""
+    """Sequential composition ``n1 ; n2 ; … ; nk`` of several FDDs.
+
+    Composition is associative, so the grouping is free to choose, and it
+    decides how large the intermediate diagrams get.  The parts are
+    grouped to the right, ``n1 ; (n2 ; (… ; nk))``: trailing writes (flag
+    resets, ``pt <- v``) simplify the suffix before an earlier part is
+    composed into it, so a run of independent coin flips ``f_i <- 0 ⊕
+    f_i <- 1`` followed by code that tests and then resets the flags is
+    integrated out one flip at a time, instead of building one leaf with
+    all ``2^d`` joint outcomes and carrying it through the rest.
+
+    Exception: the longest trailing run whose fields (tested or written)
+    are disjoint from those of every earlier part — a hop counter after a
+    routing step — is composed last, onto the finished head.  Folding it
+    into each intermediate suffix would multiply every one of them by the
+    run's own diagram.
+
+    The grouping never changes the result's semantics, and after
+    :func:`reduce` every grouping yields the identical canonical node.
+    """
     if not nodes:
         raise ValueError("sequence_all of an empty family")
-    result = nodes[0]
-    for node in nodes[1:]:
-        result = sequence(result, node)
+    split = _independent_tail(nodes)
+    head = _sequence_right(nodes[:split])
+    if split == len(nodes):
+        return head
+    return sequence(head, _sequence_right(nodes[split:]))
+
+
+def _sequence_right(nodes: Sequence[FddNode]) -> FddNode:
+    result = nodes[-1]
+    for node in reversed(nodes[:-1]):
+        result = sequence(node, result)
     return result
+
+
+def _independent_tail(nodes: Sequence[FddNode]) -> int:
+    """Start of the longest trailing run sharing no field with the parts before it.
+
+    ``len(nodes)`` when there is no such run; never ``0``, so the head
+    keeps at least one part.
+    """
+    fields = [_node_fields(node) for node in nodes]
+    for split in range(1, len(nodes)):
+        if set().union(*fields[:split]).isdisjoint(set().union(*fields[split:])):
+            return split
+    return len(nodes)
+
+
+def _node_fields(node: FddNode) -> frozenset[str]:
+    """Fields a diagram tests or writes (one walk, memoized per root)."""
+    cache = node.manager.op_cache("fields")
+    fields = cache.get(node.uid)
+    if fields is None:
+        found: set[str] = set()
+        for current in iter_nodes(node):
+            if isinstance(current, Branch):
+                found.add(current.field)
+            else:
+                for action in current.dist.support():
+                    if isinstance(action, Action):
+                        found.update(action.fields)
+        fields = cache[node.uid] = frozenset(found)
+    return fields

@@ -23,7 +23,7 @@ from typing import Iterable
 import networkx as nx
 
 from repro.core import syntax as s
-from repro.core.compiler import Compiler, GuardedFragmentError
+from repro.core.compiler import Compiler, GuardedFragmentError, field_order
 from repro.core.distributions import Dist
 from repro.core.fdd.evaluator import CompiledBody
 from repro.core.fdd.node import FddManager
@@ -101,6 +101,8 @@ class Interpreter:
         self._compiled: dict[int, tuple[s.Policy, CompiledBody | None]] = {}
         # Incremental absorption state, per loop.
         self._loop_solvers: dict[int, IncrementalAbsorptionSolver] = {}
+        # Whether the first top-level program has registered its field order.
+        self._fields_ordered = False
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -123,10 +125,14 @@ class Interpreter:
         """Run ``policy`` on an input packet or distribution over packets."""
         if isinstance(inputs, Packet):
             return self.run_packet(policy, inputs)
+        if not self._fields_ordered:
+            self._order_fields(policy)
         return self._bind(policy, inputs)
 
     def run_packet(self, policy: s.Policy, packet: Packet) -> Dist[Outcome]:
         """Output distribution of ``policy`` on one concrete input packet."""
+        if not self._fields_ordered:
+            self._order_fields(policy)
         if isinstance(policy, s.Predicate):
             return Dist.point(packet if eval_predicate(policy, packet) else DROP)
         if isinstance(policy, s.Assign):
@@ -214,6 +220,17 @@ class Interpreter:
         self._loop_rows[key] = {}
         self._loop_solutions[key] = {}
         self._loop_solvers.pop(key, None)
+
+    def _order_fields(self, policy: s.Policy) -> None:
+        """Register the first top-level program's test-first field order.
+
+        Runs once, before any body of the program compiles, so the body
+        compiler's diagrams test ``sw``/``pt`` above the flags they route
+        on (see :func:`~repro.core.compiler.field_order`).
+        """
+        self._fields_ordered = True
+        if self.compile_bodies:
+            self.body_compiler().manager.register_fields(field_order(policy))
 
     def body_compiler(self) -> Compiler:
         """The compiler used for loop bodies (created on first use)."""

@@ -517,16 +517,20 @@ class TestRemoteHostFailover:
                 stats = session.pool.stats()
                 assert stats["failures"] >= 1
                 # ...the orphaned slots re-homed onto the survivor (or a
-                # local fallback when the survivor was also refusing)...
-                assert wait_until(
-                    lambda: hosts[0]
-                    not in [
+                # local fallback when the survivor was also refusing):
+                # every slot healthy again, none on the dead host...
+                def rehomed():
+                    healthy_hosts = [
                         r["host"]
                         for r in session.pool.worker_reports()
                         if r["health"] == HEALTHY
-                    ],
-                    timeout=30.0,
-                )
+                    ]
+                    return (
+                        len(healthy_hosts) == session.pool.size
+                        and hosts[0] not in healthy_hosts
+                    )
+
+                assert wait_until(rehomed, timeout=30.0)
                 # ...and the partition/reconnect/failover story is in the
                 # telemetry timeline as spans.
                 span_names = {

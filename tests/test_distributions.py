@@ -100,6 +100,21 @@ class TestMonad:
         d = Dist.uniform([1, 2, 3])
         assert d.bind(Dist.point) == d
 
+    @pytest.mark.parametrize("low,high", [(Fraction(1, 4), Fraction(3, 4)), (0.25, 0.75)])
+    def test_operations_keep_the_mass_type(self, low, high):
+        # Colliding images force every operation to add masses up.
+        kind = type(low)
+        d = Dist({0: low, 1: high})
+        results = [
+            d.map(lambda x: "same"),
+            d.bind(lambda x: d),
+            Dist.convex([(d, d(0)), (d, d(1))]),
+            d.product(d).map(lambda pair: pair[0]),
+        ]
+        for result in results:
+            assert result.total_mass() == 1
+            assert all(type(mass) is kind for _, mass in result.items())
+
 
 class TestComparisons:
     def test_equality_exact(self):

@@ -43,8 +43,8 @@ def example():
     return ex.build()
 
 
-def fattree_model(failure_probability=None):
-    topo = fat_tree(4)
+def fattree_model(failure_probability=None, k=4):
+    topo = fat_tree(k)
     failable = downward_failable_ports(topo) if failure_probability else None
     failure = (
         independent_failure_program(failable, failure_probability)
@@ -634,3 +634,24 @@ class TestPerSwitchDispatch:
         backend = MatrixBackend()
         backend.plan(model.policy)
         assert backend.manager.node_count() * 3 <= 3071
+
+    def test_fattree8_failure_plan_node_count(self):
+        """Work-counter guard: per-switch compile grows with degree, not 2^degree.
+
+        Under first-registered field order and a left fold the k=8 cold
+        plan interned 23,940 nodes.
+        """
+        model = fattree_model(1 / 1000, k=8)
+        backend = MatrixBackend()
+        backend.plan(model.policy)
+        assert backend.manager.node_count() <= 8_000
+
+    def test_switch_and_port_rank_first(self):
+        """Both compile entry points register the test-first field order."""
+        model = fattree_model(1 / 1000)
+        backend = MatrixBackend()
+        backend.plan(model.policy)
+        interp = Interpreter()
+        interp.run_packet(model.policy, model.ingress_packets[0])
+        for manager in (backend.manager, interp.body_compiler().manager):
+            assert manager.fields[:2] == ("sw", "pt")

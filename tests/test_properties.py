@@ -21,7 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import syntax as s
-from repro.core.compiler import compile_policy
+from repro.core.compiler import Compiler, compile_policy, field_order
+from repro.core.fdd import ops
 from repro.core.fdd.node import FddManager, output_distribution as fdd_output
 from repro.core.interpreter import Interpreter
 from repro.core.packet import DROP, Packet, PacketUniverse
@@ -139,3 +140,34 @@ def test_choice_is_convex_combination(policy, other, r, packet):
     outcomes = left.support() | right.support() | combined.support()
     for outcome in outcomes:
         assert combined(outcome) == r * left(outcome) + (1 - r) * right(outcome)
+
+
+# Parts over a third field, so runs independent of the f/g parts occur.
+counter_steps = st.builds(
+    lambda v, w: s.ite(s.test("h", v), s.assign("h", w), s.skip()),
+    st.sampled_from(VALUES),
+    st.sampled_from(VALUES),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(parts=st.lists(st.one_of(loop_free(1), counter_steps), min_size=1, max_size=5))
+def test_sequence_all_grouping_is_canonical(parts):
+    compiler = Compiler(exact=True)
+    nodes = [compiler.compile(part) for part in parts]
+    left = nodes[0]
+    for node in nodes[1:]:
+        left = ops.sequence(left, node)
+    assert ops.reduce(ops.sequence_all(nodes)) is ops.reduce(left)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(policy=loop_free(2))
+def test_field_orders_agree_with_the_ast_interpreter(policy):
+    interp = Interpreter(exact=True, compile_bodies=False)
+    test_first = compile_policy(policy, manager=FddManager(field_order(policy)), exact=True)
+    first_seen = compile_policy(policy, manager=FddManager(), exact=True)
+    for packet in UNIVERSE.packets:
+        expected = interp.run_packet(policy, packet)
+        assert fdd_output(test_first, packet) == expected
+        assert fdd_output(first_seen, packet) == expected
